@@ -166,10 +166,23 @@ impl Graph {
 
     /// All triples whose subject is `subject` (the *entity* of the subject).
     pub fn entity(&self, subject: IriId) -> Vec<Triple> {
+        self.subject_triples(subject).copied().collect()
+    }
+
+    /// The triples whose subject is `subject`, in insertion order, borrowed
+    /// from the graph (the copy-free form of [`Graph::entity`]).
+    pub(crate) fn subject_triples(&self, subject: IriId) -> impl Iterator<Item = &Triple> {
         self.by_subject
             .get(&subject)
-            .map(|positions| positions.iter().map(|&pos| self.triples[pos]).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .map(|&pos| &self.triples[pos])
+    }
+
+    /// The subjects declared to be of the sort named `sort`, in id order, or
+    /// `None` if no subject is.
+    pub(crate) fn sort_members(&self, sort: &str) -> Option<&BTreeSet<IriId>> {
+        self.by_type.get(&self.dictionary.iri_id(sort)?)
     }
 
     /// The sorts (IRIs `t`) for which some `(s, rdf:type, t)` triple exists.
@@ -199,10 +212,7 @@ impl Graph {
     /// are *not* comparable across the two graphs.
     pub fn typed_subgraph(&self, sort: &str) -> Graph {
         let mut result = Graph::new();
-        let Some(sort_id) = self.dictionary.iri_id(sort) else {
-            return result;
-        };
-        let Some(members) = self.by_type.get(&sort_id) else {
+        let Some(members) = self.sort_members(sort) else {
             return result;
         };
         for &subject in members {

@@ -3,12 +3,19 @@
 //! `M(D)` is an `|S(D)| × |P(D)|` 0/1 matrix: `M[s][p] = 1` iff subject `s`
 //! has property `p` in `D`. It deliberately discards object values — the
 //! structuredness framework only looks at which properties are *set*.
+//!
+//! Both constructors read the rows straight off the graph's subject index
+//! through a predicate-id → column table: one pass over the triples of the
+//! subjects in the view. For a sort `t`, [`PropertyStructureView::from_sort`]
+//! costs O(|D_t|) plus two zeroed id-indexed tables, and never copies the
+//! typed subgraph `D_t`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::bitset::BitSet;
 use crate::error::ModelError;
 use crate::graph::Graph;
+use crate::term::{IriId, Object};
 use crate::vocab::RDF_TYPE;
 
 /// The property–structure view of an RDF graph: a dense 0/1 matrix with
@@ -25,62 +32,87 @@ pub struct PropertyStructureView {
 }
 
 impl PropertyStructureView {
-    /// Builds the view from a graph.
+    /// Builds the view from a graph: one row per subject, in id order.
     ///
     /// When `exclude_rdf_type` is true the `rdf:type` property is dropped
     /// from the columns, matching the paper's dataset descriptions
     /// ("8 properties, excluding the type property").
     pub fn from_graph(graph: &Graph, exclude_rdf_type: bool) -> Self {
-        let mut property_labels: Vec<String> = graph
-            .properties()
-            .into_iter()
-            .map(|p| graph.iri(p).to_owned())
-            .filter(|p| !(exclude_rdf_type && p == RDF_TYPE))
-            .collect();
-        property_labels.sort();
-        let property_index: BTreeMap<String, usize> = property_labels
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.clone(), i))
-            .collect();
-
-        let subject_ids = graph.subjects();
-        let mut subjects = Vec::with_capacity(subject_ids.len());
-        let mut rows = Vec::with_capacity(subject_ids.len());
-        for subject in subject_ids {
-            let mut row = BitSet::new(property_labels.len());
-            for triple in graph.entity(subject) {
-                let prop = graph.iri(triple.predicate);
-                if let Some(&col) = property_index.get(prop) {
-                    row.insert(col);
-                }
-            }
-            // Subjects that only appear with excluded properties (e.g. only an
-            // rdf:type triple) still count as subjects of the graph; their row
-            // is all-zero, as in the paper's matrix definition restricted to
-            // the retained columns.
-            subjects.push(graph.iri(subject).to_owned());
-            rows.push(row);
-        }
-        PropertyStructureView {
-            properties: property_labels,
-            property_index,
-            subjects,
-            rows,
-        }
+        Self::from_subjects(graph, graph.subjects(), exclude_rdf_type)
     }
 
-    /// Builds the view of the typed subgraph `D_t` for the given sort IRI.
+    /// Builds the view of the typed subgraph `D_t` for the given sort IRI,
+    /// straight from `graph`'s subject index.
+    ///
+    /// The result equals `from_graph(&graph.typed_subgraph(sort), ..)`
+    /// field by field, rows in the same order, without copying `D_t`.
     pub fn from_sort(
         graph: &Graph,
         sort: &str,
         exclude_rdf_type: bool,
     ) -> Result<Self, ModelError> {
-        let subgraph = graph.typed_subgraph(sort);
-        if subgraph.is_empty() {
-            return Err(ModelError::EmptySort(sort.to_owned()));
+        let members = graph
+            .sort_members(sort)
+            .ok_or_else(|| ModelError::EmptySort(sort.to_owned()))?;
+        let subjects = first_mention_order(graph, members);
+        Ok(Self::from_subjects(graph, subjects, exclude_rdf_type))
+    }
+
+    /// The row builder behind both constructors: one row per subject, in the
+    /// given order, over the sorted labels of every property those subjects
+    /// have.
+    fn from_subjects(graph: &Graph, subjects: Vec<IriId>, exclude_rdf_type: bool) -> Self {
+        // Predicate id → column + 1; 0 marks an IRI that is not a column.
+        let mut column = vec![0u32; graph.dictionary().iri_count()];
+        let mut predicates = Vec::new();
+        for &subject in &subjects {
+            for triple in graph.subject_triples(subject) {
+                let slot = &mut column[triple.predicate.index()];
+                if *slot == 0 {
+                    *slot = 1;
+                    predicates.push(triple.predicate);
+                }
+            }
         }
-        Ok(Self::from_graph(&subgraph, exclude_rdf_type))
+        predicates.sort_unstable_by_key(|&p| graph.iri(p));
+        let mut properties = Vec::with_capacity(predicates.len());
+        for p in predicates {
+            let label = graph.iri(p);
+            column[p.index()] = if exclude_rdf_type && label == RDF_TYPE {
+                0
+            } else {
+                properties.push(label.to_owned());
+                properties.len() as u32
+            };
+        }
+
+        let mut labels = Vec::with_capacity(subjects.len());
+        let mut rows = Vec::with_capacity(subjects.len());
+        for subject in subjects {
+            let mut row = BitSet::new(properties.len());
+            for triple in graph.subject_triples(subject) {
+                // Subjects that only have excluded properties (e.g. only an
+                // rdf:type triple) still count as subjects; their row is
+                // all-zero, as in the paper's matrix definition restricted
+                // to the retained columns.
+                if let Some(col) = column[triple.predicate.index()].checked_sub(1) {
+                    row.insert(col as usize);
+                }
+            }
+            labels.push(graph.iri(subject).to_owned());
+            rows.push(row);
+        }
+        let property_index = properties
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.clone(), i))
+            .collect();
+        PropertyStructureView {
+            properties,
+            property_index,
+            subjects: labels,
+            rows,
+        }
     }
 
     /// Builds a view directly from labelled rows. Intended for synthetic data
@@ -163,6 +195,47 @@ impl PropertyStructureView {
     pub fn column_count(&self, col: usize) -> usize {
         self.rows.iter().filter(|row| row.contains(col)).count()
     }
+}
+
+/// The members of a sort in the order [`Graph::typed_subgraph`] interns
+/// them, which is the subject order of the subgraph's view.
+///
+/// The subgraph is built member by member in id order; each triple interns
+/// its subject, predicate and IRI object, and the first triple is followed
+/// by `rdf:type`. A member mentioned by an earlier member's triple (say as
+/// its object) therefore comes before its own turn.
+fn first_mention_order(graph: &Graph, members: &BTreeSet<IriId>) -> Vec<IriId> {
+    const MEMBER: u8 = 1;
+    const PLACED: u8 = 2;
+    let mut state = vec![0u8; graph.dictionary().iri_count()];
+    for member in members {
+        state[member.index()] = MEMBER;
+    }
+    let mut order = Vec::with_capacity(members.len());
+    let mut mention = |id: IriId| {
+        let slot = &mut state[id.index()];
+        if *slot == MEMBER {
+            *slot = PLACED;
+            order.push(id);
+        }
+    };
+    let rdf_type = graph.dictionary().iri_id(RDF_TYPE);
+    let mut first = true;
+    for &member in members {
+        for triple in graph.subject_triples(member) {
+            mention(triple.subject);
+            mention(triple.predicate);
+            if let Object::Iri(object) = triple.object {
+                mention(object);
+            }
+            if std::mem::take(&mut first) {
+                if let Some(rdf_type) = rdf_type {
+                    mention(rdf_type);
+                }
+            }
+        }
+    }
+    order
 }
 
 #[cfg(test)]

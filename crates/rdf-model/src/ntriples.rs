@@ -5,6 +5,15 @@
 //! (`^^<iri>`), language tags (`@lang`), `#` comments, and the standard string
 //! escapes (`\t \n \r \" \\ \uXXXX \UXXXXXXXX`). Blank nodes are intentionally
 //! rejected: the paper's data model (Section 2.1) only considers URI subjects.
+//!
+//! Parsing is one pass over the bytes. The lexer jumps from delimiter to
+//! delimiter (`>`, `"`, `\`) and hands IRIs back as slices of the input
+//! line; only an IRI with an escape is copied into a decoded buffer.
+//! Literal bodies are copied run by run, since a literal is stored owned.
+//! The input is a `&str` and every delimiter is ASCII, so each run between
+//! delimiters is valid UTF-8 without being re-checked.
+
+use std::borrow::Cow;
 
 use crate::error::ParseError;
 use crate::graph::Graph;
@@ -87,6 +96,7 @@ fn escape_string(s: &str) -> String {
 }
 
 struct LineParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
@@ -95,6 +105,7 @@ struct LineParser<'a> {
 impl<'a> LineParser<'a> {
     fn new(line: &'a str, line_no: usize) -> Self {
         LineParser {
+            text: line,
             bytes: line.as_bytes(),
             pos: 0,
             line: line_no,
@@ -128,6 +139,15 @@ impl<'a> LineParser<'a> {
         }
     }
 
+    /// Consumes the run up to the next `a` or `b` byte (or the end of the
+    /// line) and returns it as a slice of the line.
+    fn run(&mut self, a: u8, b: u8) -> Result<&'a str, ParseError> {
+        let run = scan_run(self.text, self.pos, a, b)
+            .ok_or_else(|| self.error("term does not start on a character boundary"))?;
+        self.pos += run.len();
+        Ok(run)
+    }
+
     fn parse_statement(&mut self, graph: &mut Graph) -> Result<(), ParseError> {
         self.skip_ws();
         let subject = self.parse_iri_ref()?;
@@ -155,7 +175,7 @@ impl<'a> LineParser<'a> {
         Ok(())
     }
 
-    fn parse_iri_ref(&mut self) -> Result<String, ParseError> {
+    fn parse_iri_ref(&mut self) -> Result<Cow<'a, str>, ParseError> {
         match self.peek() {
             Some(b'<') => {}
             Some(b'_') => return Err(self.error(
@@ -164,15 +184,30 @@ impl<'a> LineParser<'a> {
             _ => return Err(self.error("expected IRI starting with '<'")),
         }
         self.pos += 1;
-        let mut iri = String::new();
+        let mut decoded: Option<String> = None;
         loop {
+            let start = self.pos;
+            let run = self.run(b'>', b'\\')?;
+            if let Some(offset) = run.find(char::is_whitespace) {
+                self.pos = start + offset;
+                return Err(self.error("whitespace inside IRI"));
+            }
             match self.peek() {
                 None => return Err(self.error("unterminated IRI")),
                 Some(b'>') => {
                     self.pos += 1;
-                    return Ok(iri);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(run),
+                        Some(mut iri) => {
+                            iri.push_str(run);
+                            Cow::Owned(iri)
+                        }
+                    });
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: everything so far moves into an owned buffer.
+                    let iri = decoded.get_or_insert_with(String::new);
+                    iri.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'>') => {
@@ -190,23 +225,11 @@ impl<'a> LineParser<'a> {
                         _ => return Err(self.error("invalid escape in IRI")),
                     }
                 }
-                Some(other) => {
-                    // Consume a full UTF-8 character, not just a byte.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in IRI"))?;
-                    let ch = text.chars().next().unwrap_or(other as char);
-                    if ch.is_whitespace() {
-                        return Err(self.error("whitespace inside IRI"));
-                    }
-                    iri.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
     }
 
-    fn parse_object(&mut self) -> Result<ParsedObject, ParseError> {
+    fn parse_object(&mut self) -> Result<ParsedObject<'a>, ParseError> {
         match self.peek() {
             Some(b'<') => Ok(ParsedObject::Iri(self.parse_iri_ref()?)),
             Some(b'"') => self.parse_literal().map(ParsedObject::Literal),
@@ -219,15 +242,17 @@ impl<'a> LineParser<'a> {
 
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
         self.expect(b'"')?;
+        // A literal is stored owned, so the body is copied run by run.
         let mut lexical = String::new();
         loop {
+            lexical.push_str(self.run(b'"', b'\\')?);
             match self.peek() {
                 None => return Err(self.error("unterminated string literal")),
                 Some(b'"') => {
                     self.pos += 1;
                     break;
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => {
@@ -257,14 +282,6 @@ impl<'a> LineParser<'a> {
                         _ => return Err(self.error("invalid escape in string literal")),
                     }
                 }
-                Some(_) => {
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in literal"))?;
-                    let ch = text.chars().next().expect("non-empty checked above");
-                    lexical.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
         // Optional language tag or datatype.
@@ -282,9 +299,11 @@ impl<'a> LineParser<'a> {
                 if self.pos == start {
                     return Err(self.error("empty language tag"));
                 }
-                let tag = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("ASCII checked")
-                    .to_owned();
+                // The tag is ASCII, so both ends are character boundaries.
+                let tag = self
+                    .text
+                    .get(start..self.pos)
+                    .ok_or_else(|| self.error("invalid language tag"))?;
                 Ok(Literal::lang(lexical, tag))
             }
             Some(b'^') => {
@@ -308,8 +327,11 @@ impl<'a> LineParser<'a> {
         if self.pos + len > self.bytes.len() {
             return Err(self.error("truncated unicode escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + len])
-            .map_err(|_| self.error("invalid unicode escape"))?;
+        // `None` when the digits end inside a multi-byte character.
+        let hex = self
+            .text
+            .get(self.pos..self.pos + len)
+            .ok_or_else(|| self.error("invalid unicode escape"))?;
         let code = u32::from_str_radix(hex, 16)
             .map_err(|_| self.error("invalid hex in unicode escape"))?;
         self.pos += len;
@@ -317,8 +339,20 @@ impl<'a> LineParser<'a> {
     }
 }
 
-enum ParsedObject {
-    Iri(String),
+/// The run of `text` from byte `from` up to, not including, the first `a`
+/// or `b` byte, or up to the end. Both delimiters must be ASCII, so the run
+/// ends on a character boundary; `None` only if `from` is not one.
+pub(crate) fn scan_run(text: &str, from: usize, a: u8, b: u8) -> Option<&str> {
+    let rest = text.get(from..)?;
+    let len = rest
+        .bytes()
+        .position(|byte| byte == a || byte == b)
+        .unwrap_or(rest.len());
+    rest.get(..len)
+}
+
+enum ParsedObject<'a> {
+    Iri(Cow<'a, str>),
     Literal(Literal),
 }
 
@@ -399,6 +433,52 @@ mod tests {
     fn rejects_unterminated_literal() {
         let err = parse_ntriples("<http://ex/s> <http://ex/p> \"open .\n").unwrap_err();
         assert!(err.message.contains("unterminated"));
+    }
+
+    #[test]
+    fn every_prefix_parses_or_errors() {
+        let doc = r#"<http://ex/caf\u00E9> <http://ex/p\\q\>r> "π \"中\\\n\t\U0001F600😀"@de-CH .
+<http://ex/é> <http://ex/ß> <http://ex/😀\>> . # 注
+<http://ex/s> <http://ex/p> "€"^^<http://ex/t€> .
+"#;
+        assert_eq!(
+            parse_ntriples(doc)
+                .expect("the whole document parses")
+                .len(),
+            3
+        );
+        for end in (0..=doc.len()).filter(|&end| doc.is_char_boundary(end)) {
+            let _ = parse_ntriples(&doc[..end]);
+        }
+    }
+
+    #[test]
+    fn error_columns_point_at_the_offending_character() {
+        let column = |doc: &str| {
+            let err = parse_ntriples(doc).unwrap_err();
+            (err.line, err.column, err.message)
+        };
+        let whitespace = |col| (1, col, "whitespace inside IRI".to_owned());
+        assert_eq!(
+            column("<http://ex/a b> <http://ex/p> <http://ex/o> ."),
+            whitespace(13)
+        );
+        assert_eq!(
+            column("<http://ex/é\u{a0}b> <http://ex/p> <http://ex/o> ."),
+            whitespace(14)
+        );
+        assert_eq!(
+            column("<http://ex/s> <http://ex/p> <http://ex/中\u{2003}> ."),
+            whitespace(43)
+        );
+        assert_eq!(
+            column("<http://ex/s> <http://ex/p> \"é\\q\" ."),
+            (1, 33, "invalid escape in string literal".to_owned())
+        );
+        assert_eq!(
+            column("<http://ex/s\\x> <http://ex/p> <http://ex/o> ."),
+            (1, 14, "invalid escape in IRI".to_owned())
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::error::ParseError;
 use crate::graph::Graph;
+use crate::ntriples::scan_run;
 use crate::term::{Literal, Object};
 use crate::vocab::RDF_TYPE;
 use std::collections::HashMap;
@@ -392,18 +393,21 @@ impl<'a> TurtleParser<'a> {
     }
 
     fn parse_string_literal(&mut self) -> Result<Literal, ParseError> {
-        // Delegate the escape handling to a small local loop mirroring the
-        // N-Triples rules.
+        // The same run scanner and escapes as the N-Triples lexer.
         self.expect_char('"')?;
         let mut lexical = String::new();
         loop {
+            let run = scan_run(self.text, self.pos, b'"', b'\\')
+                .ok_or_else(|| self.error("literal does not start on a character boundary"))?;
+            lexical.push_str(run);
+            self.pos += run.len();
             match self.peek() {
                 None => return Err(self.error("unterminated string literal")),
                 Some(b'"') => {
                     self.pos += 1;
                     break;
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     let escaped = self.peek().ok_or_else(|| self.error("dangling escape"))?;
                     match escaped {
@@ -419,7 +423,11 @@ impl<'a> TurtleParser<'a> {
                             if self.pos + len > self.bytes.len() {
                                 return Err(self.error("truncated unicode escape"));
                             }
-                            let hex = &self.text[self.pos..self.pos + len];
+                            // `None` when the digits end inside a multi-byte character.
+                            let hex = self
+                                .text
+                                .get(self.pos..self.pos + len)
+                                .ok_or_else(|| self.error("invalid unicode escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid unicode escape"))?;
                             lexical.push(
@@ -431,12 +439,6 @@ impl<'a> TurtleParser<'a> {
                         _ => return Err(self.error("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    let rest = &self.text[self.pos..];
-                    let ch = rest.chars().next().expect("non-empty");
-                    lexical.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -564,5 +566,19 @@ ex:bob a foaf:Person ;
         let doc = "@prefix ex: <http://e/> .\nex:a ex:p ??? .\n";
         let err = parse_turtle(doc).unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn string_literals_scan_runs_between_escapes() {
+        let doc = r#"<http://e/s> <http://e/p> "中\"é\\😀\u00E9€" ."#;
+        let graph = parse_turtle(doc).expect("parses");
+        let triple = graph.triples().next().unwrap();
+        let Object::Literal(id) = triple.object else {
+            panic!("expected literal")
+        };
+        assert_eq!(graph.dictionary().literal(id).lexical, "中\"é\\😀é€");
+        // Hex digits that end inside a multi-byte character are an error.
+        let err = parse_turtle("<http://e/s> <http://e/p> \"\\u000é\" .").unwrap_err();
+        assert_eq!(err.message, "invalid unicode escape");
     }
 }
